@@ -23,11 +23,10 @@ def main():
     lines = ["order,gamma,value,scaled,oracle_value"]
     for order in range(4):
         for g in gammas:
-            ev = bessel.evaluate(order, g)
+            value = bessel.bessel_k(order, g)
+            scaled = bessel.bessel_k_scaled(order, g)
             oracle = bessel.oracle_quadrature(order, g)
-            lines.append(
-                f"{order},{g:.17g},{ev.value:.17g},{ev.scaled:.17g},{oracle:.17g}"
-            )
+            lines.append(f"{order},{g:.17g},{value:.17g},{scaled:.17g},{oracle:.17g}")
     OUT.write_text("\n".join(lines) + "\n")
     print(f"wrote {OUT} ({len(lines) - 1} rows)")
 

@@ -9,10 +9,6 @@ result correctly rounded through gamma ~ 20.
 The large-gamma branch sums the divergent asymptotic expansion to its
 smallest term; at the switch point (gamma = 16) that term is already below
 1e-14 of the leading one.
-
-All kernels are scalar float code so `numba.njit` can compile them;
-`ACCELERATED` records whether the JIT happened (the pure-Python definitions
-are the fallback and compute identical values).
 """
 
 import math
@@ -171,25 +167,6 @@ def _k_asym_scaled(j, g):
             break
         m += 1.0
     return math.sqrt(math.pi / (2.0 * g)) * s
-
-
-ACCELERATED = False
-try:  # pragma: no cover - exercised implicitly when numba is present
-    from numba import njit
-
-    _two_sum = njit(cache=True, inline="always")(_two_sum)
-    _quick_two_sum = njit(cache=True, inline="always")(_quick_two_sum)
-    _two_prod = njit(cache=True, inline="always")(_two_prod)
-    _dd_add = njit(cache=True, inline="always")(_dd_add)
-    _dd_mul = njit(cache=True, inline="always")(_dd_mul)
-    _dd_mul_d = njit(cache=True, inline="always")(_dd_mul_d)
-    _dd_div_d = njit(cache=True, inline="always")(_dd_div_d)
-    _dd_log = njit(cache=True)(_dd_log)
-    _k01_series = njit(cache=True)(_k01_series)
-    _k_asym_scaled = njit(cache=True)(_k_asym_scaled)
-    ACCELERATED = True
-except ImportError:  # pragma: no cover
-    pass
 
 
 def k01(gamma):

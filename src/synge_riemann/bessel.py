@@ -13,7 +13,6 @@ test suite only; it must not share code with the main path.
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._ddcore import SERIES_SWITCH, k01  # noqa: F401  (SERIES_SWITCH re-exported for tests)
@@ -21,18 +20,6 @@ from .errors import AccuracyWindowWarning, ConvergenceError, DomainError
 
 WINDOW = (1e-6, 1e4)
 ORACLE_WINDOW = (1e-3, 500.0)
-
-K0_OVER_K1 = "K0_over_K1"
-K1_OVER_K2 = "K1_over_K2"
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One evaluation of K_j: unscaled value, e^gamma-scaled value, argument."""
-
-    value: float
-    scaled: float
-    gamma: float
 
 
 def _check_gamma(gamma):
@@ -86,34 +73,16 @@ def bessel_k_scaled(order, gamma):
     return _k_all_scaled(gamma)[order]
 
 
-def evaluate(order, gamma):
-    """Both forms of K_order(gamma) as a :class:`BesselEval`."""
-    return BesselEval(bessel_k(order, gamma), bessel_k_scaled(order, gamma), gamma)
-
-
-def ratio(kind, gamma):
-    """Stable Bessel ratios in (0, 1).
-
-    ``K0_over_K1`` is K0/K1; ``K1_over_K2`` is evaluated as
-    K1 / (2 K1/gamma + K0) so both stay accurate where the unscaled values
-    underflow.
-    """
-    _check_gamma(gamma)
-    _, k0s, _, k1s = _k01_cached(gamma)
-    if kind == K0_OVER_K1:
-        return k0s / k1s
-    if kind == K1_OVER_K2:
-        return k1s / (2.0 * k1s / gamma + k0s)
-    raise DomainError(f"unknown ratio kind {kind!r}")
-
-
 def k0_over_k1(gamma):
+    """K0/K1 in (0, 1), from the scaled pair so it stays accurate where the
+    unscaled values underflow."""
     _check_gamma(gamma)
     _, k0s, _, k1s = _k01_cached(gamma)
     return k0s / k1s
 
 
 def k1_over_k2(gamma):
+    """K1/K2 in (0, 1), evaluated as K1 / (2 K1/gamma + K0)."""
     _check_gamma(gamma)
     _, k0s, _, k1s = _k01_cached(gamma)
     return k1s / (2.0 * k1s / gamma + k0s)

@@ -86,6 +86,10 @@ class _MalformedInput(Exception):
     pass
 
 
+def _log_grid(lo, hi, n):
+    return [math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (n - 1)) for i in range(n)]
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -94,28 +98,22 @@ def _load_json(path):
         raise _MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _cmd_solve(args, window):
-    doc = _load_json(args.infile)
-    try:
-        gas = _gas(doc["gas"])
-        left = _state_from_json(gas, doc["left"], window)
-        right = _state_from_json(gas, doc["right"], window)
-    except KeyError as exc:
-        raise _MalformedInput(f"problem JSON missing key: {exc}") from exc
-    sol = riemann.solve(riemann.RiemannInput(gas=gas, left=left, right=right))
-    _write_text(args.out, sol.to_json() + "\n")
-    return EXIT_VACUUM if sol.vacuum else EXIT_OK
-
-
 def _resolve_solution(path, window):
+    """Solve the problem in a problem (or solution) JSON document."""
     doc = _load_json(path)
     try:
         gas = _gas(doc["gas"])
         left = _state_from_json(gas, doc["left"], window)
         right = _state_from_json(gas, doc["right"], window)
     except KeyError as exc:
-        raise _MalformedInput(f"solution JSON missing key: {exc}") from exc
+        raise _MalformedInput(f"JSON document missing key: {exc}") from exc
     return riemann.solve(riemann.RiemannInput(gas=gas, left=left, right=right))
+
+
+def _cmd_solve(args, window):
+    sol = _resolve_solution(args.infile, window)
+    _write_text(args.out, sol.to_json() + "\n")
+    return EXIT_VACUUM if sol.vacuum else EXIT_OK
 
 
 def _cmd_sample(args, window):
@@ -137,10 +135,7 @@ def _cmd_curves(args, window):
     lo, hi = args.p_min, args.p_max
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid pressure range [{lo!r}, {hi!r}]")
-    grid = [
-        math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (args.n - 1))
-        for i in range(args.n)
-    ]
+    grid = _log_grid(lo, hi, args.n)
     table = waves.wave_curve(gas, anchor, args.family, grid, window=window)
     _write_text(args.out, table.to_csv())
     return EXIT_OK
@@ -152,10 +147,7 @@ def _cmd_lambda(args, window):
     lo, hi = args.gamma_min, args.gamma_max
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid gamma range [{lo!r}, {hi!r}]")
-    grid = [
-        math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (args.n - 1))
-        for i in range(args.n)
-    ]
+    grid = _log_grid(lo, hi, args.n)
     gases = (
         (GasKind.MONATOMIC, GasKind.DIATOMIC) if args.gas == "both" else (_gas(args.gas),)
     )
@@ -183,10 +175,7 @@ def _cmd_entropy_production(args, window):
         raise DomainError(
             f"shock-strength range must satisfy p_left <= p_min < p_max, got [{lo!r}, {hi!r}]"
         )
-    grid = [
-        math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (args.n - 1))
-        for i in range(args.n)
-    ]
+    grid = _log_grid(lo, hi, args.n)
     lines = ["sbar,eta_hat"]
     for p in grid:
         sp = waves.shock_state(gas, left, args.family, p, window=window)
@@ -270,8 +259,6 @@ def build_parser():
     s.add_argument("--points", type=int, default=10000)
     s.add_argument("--spacing", default="log", choices=["log", "linear"])
     s.add_argument("--out", help="optional JSON report path")
-    s.add_argument("--threads", type=int, default=1,
-                   help="reserved; evaluation is deterministic regardless")
 
     return p
 

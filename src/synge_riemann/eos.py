@@ -8,7 +8,8 @@ coldness, and energy density e = p * r(gamma) where
     diatomic:   r = gamma K_0/K_1 + 3      (generalized Synge energy, a = 0)
 
 Everything else (entropy, isentropes, sound speed, specific heats, the
-genuine-nonlinearity sign) follows from r and the Bessel-ratio identities.
+genuine-nonlinearity sign, the acoustic Riemann invariant) follows from r
+and the Bessel-ratio identities.
 Formulas are evaluated directly from scaled Bessel ratios below gamma = 30
 and from exact-coefficient 1/gamma expansions above, where the direct
 expressions would cancel catastrophically.
@@ -19,7 +20,7 @@ physical and cross-gas entropy comparisons are meaningless.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -102,10 +103,8 @@ def _cold(gas, gamma):
         g = _series.horner(tab["g"], eps)
         r = gamma * q + 3.0
         return _Cold(q, r, rp, g, m)
-    if gas is GasKind.MONATOMIC:
-        q = bessel.k1_over_k2(gamma)
-    else:
-        q = bessel.k0_over_k1(gamma)
+    k0s, k1s, k2s, _ = bessel._k_all_scaled(gamma)
+    q = k1s / k2s if gas is GasKind.MONATOMIC else k0s / k1s
     r = gamma * q + 3.0
     rp = gamma * q * q + lin_rp * q - gamma
     g = gamma * q * q + lin_g * q - gamma - 4.0 / gamma
@@ -320,11 +319,21 @@ class FluidState:
     def vacuum(cls, v=0.0):
         return cls(p=0.0, v=v, shat=math.nan, gamma=math.inf, rho=0.0, e=0.0)
 
+    def mirrored(self):
+        """The same state moving the other way (v -> -v)."""
+        return replace(self, v=-self.v)
+
     def to_dict(self, echo=True):
         d = {"rho": self.rho, "v": self.v, "p": self.p}
         if echo:
             d.update({"gamma": self.gamma, "shat": self.shat, "e": self.e})
         return d
+
+
+def _require_finite(**values):
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x!r}")
 
 
 def _require_velocity(v, units):
@@ -334,6 +343,7 @@ def _require_velocity(v, units):
 
 def state_from_primitive(gas, rho, v, p, window=DEFAULT_WINDOW, units=DEFAULT_UNITS):
     """FluidState from (rho, v, p); gamma = rho c^2 / p must land in the window."""
+    _require_finite(rho=rho, v=v, p=p)
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho!r}")
     if not p > 0.0:
@@ -353,6 +363,7 @@ def state_from_primitive(gas, rho, v, p, window=DEFAULT_WINDOW, units=DEFAULT_UN
 
 def state_from_pvs(gas, p, v, shat, window=DEFAULT_WINDOW, units=DEFAULT_UNITS):
     """FluidState from wave-curve coordinates (p, v, shat)."""
+    _require_finite(p=p, v=v, shat=shat)
     if not p > 0.0:
         raise DomainError(f"p must be positive, got {p!r}")
     _require_velocity(v, units)
@@ -406,3 +417,67 @@ def invariant_tail(gas, gamma):
     """Closed form of integral_gamma^inf of `invariant_integrand`, valid for
     gamma >= LARGE_GAMMA_SWITCH (exact-series antiderivative)."""
     return _series.horner(_TABLES[gas]["jtail"], 1.0 / gamma) / math.sqrt(gamma)
+
+
+#: Chebyshev table of the invariant on s = ln gamma in [ln 1e-14, ln 30]
+INVARIANT_NODES = 128
+_INVARIANT_SPAN = (math.log(EXTENDED_WINDOW[0]), math.log(_series.LARGE_GAMMA_SWITCH))
+#: per-gas coefficients of J as a Chebyshev series, built on first use
+_INVARIANT_TABLES = {}
+
+
+def _invariant_table(gas):
+    """Chebyshev coefficients of J(gamma) on _INVARIANT_SPAN.
+
+    dJ/ds = -gamma * invariant_integrand is smooth in s = ln gamma (it tends
+    to -sqrt(3) in the ultra-relativistic limit), so it is interpolated at
+    INVARIANT_NODES Chebyshev points of the first kind.  The series is then
+    integrated term by term and its constant fixed so that J meets
+    `invariant_tail` at gamma = LARGE_GAMMA_SWITCH.
+    """
+    n = INVARIANT_NODES
+    a, b = _INVARIANT_SPAN
+    half = 0.5 * (b - a)
+    angles = [math.pi * (k + 0.5) / n for k in range(n)]
+    vals = []
+    for t in angles:
+        gamma = math.exp(a + half * (math.cos(t) + 1.0))
+        vals.append(-gamma * invariant_integrand(gas, gamma))
+    # dJ/dx = half * dJ/ds = sum_j d_j T_j(x), d from the discrete cosine transform
+    d = [
+        (2.0 / n) * half * math.fsum(v * math.cos(j * t) for v, t in zip(vals, angles))
+        for j in range(n)
+    ]
+    d[0] *= 0.5
+    d += [0.0, 0.0]
+    # integral of sum d_j T_j: coefficient k of the antiderivative is
+    # (d_{k-1} - d_{k+1}) / (2k), with d_0 counted twice for k = 1
+    coef = [0.0] + [((2.0 if k == 1 else 1.0) * d[k - 1] - d[k + 1]) / (2 * k)
+                    for k in range(1, n + 1)]
+    # T_k(1) = 1: fix the constant by J(x = 1) = invariant_tail(switch)
+    coef[0] = invariant_tail(gas, _series.LARGE_GAMMA_SWITCH) - math.fsum(coef[1:])
+    return tuple(coef)
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[k] T_k(x) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    x2 = 2.0 * x
+    for c in reversed(coef[1:]):
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return x * b1 - b2 + coef[0]
+
+
+def invariant(gas, gamma):
+    """Acoustic Riemann invariant J(gamma) = integral_gamma^inf of
+    `invariant_integrand`: dimensionless and a function of the coldness
+    alone.  A per-gas Chebyshev series from EXTENDED_WINDOW[0] up to
+    LARGE_GAMMA_SWITCH, built on first use, and `invariant_tail` from there on."""
+    _require_gamma(gamma, (EXTENDED_WINDOW[0], math.inf), "invariant")
+    if gamma >= _series.LARGE_GAMMA_SWITCH:
+        return invariant_tail(gas, gamma)
+    coef = _INVARIANT_TABLES.get(gas)
+    if coef is None:
+        coef = _INVARIANT_TABLES[gas] = _invariant_table(gas)
+    a, b = _INVARIANT_SPAN
+    return _clenshaw(coef, (2.0 * math.log(gamma) - a - b) / (b - a))

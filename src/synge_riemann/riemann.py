@@ -7,14 +7,14 @@ Vacuum forms exactly when the acoustic invariants satisfy rbar_L <= sbar_R,
 in which case two rarefactions to zero energy flank a vacuum region.
 
 Self-similar sampling resolves rarefaction fans by root-finding the
-characteristic condition lambda(u(xi)) = xi along the isentrope, which is
-monotone by genuine nonlinearity.
+characteristic condition lambda(u(xi)) = xi in the coldness along the
+isentrope; lambda is monotone there by genuine nonlinearity.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from . import eos, waves
 from .eos import DEFAULT_UNITS, FluidState, GasKind
@@ -108,17 +108,13 @@ def curve_velocity(gas, side, p, anchor, units=DEFAULT_UNITS, window=_SOLVER_WIN
     if side == "1-from-left":
         if p > anchor.p:
             return waves.shock_state(gas, anchor, 1, p, units, window).state.v
-        return waves.rarefaction_velocity(gas, anchor, 1, p, units, window)
+        return waves.rarefaction_state(gas, anchor, 1, p, units, window).v
     if side == "3-from-right":
-        mirrored = FluidState(
-            p=anchor.p, v=-anchor.v, shat=anchor.shat,
-            gamma=anchor.gamma, rho=anchor.rho, e=anchor.e,
-        )
-        return -curve_velocity(gas, "1-from-left", p, mirrored, units, window)
+        return -curve_velocity(gas, "1-from-left", p, anchor.mirrored(), units, window)
     raise DomainError(f"side must be '1-from-left' or '3-from-right', got {side!r}")
 
 
-def _acoustic_wave(gas, anchor, family, p_m, units, ahead_is_anchor):
+def _acoustic_wave(gas, anchor, family, p_m, units):
     """Build the family-1 or family-3 wave of the solution and its inner
     state.  `anchor` is the known outer state (left data for family 1, right
     data for family 3)."""
@@ -225,8 +221,8 @@ def solve(riemann_input, units=DEFAULT_UNITS):
         )
     v_m = 0.5 * (v1 + v3)
 
-    wave1, u_ml = _acoustic_wave(gas, left, 1, p_m, units, True)
-    wave3, u_mr = _acoustic_wave(gas, right, 3, p_m, units, True)
+    wave1, u_ml = _acoustic_wave(gas, left, 1, p_m, units)
+    wave3, u_mr = _acoustic_wave(gas, right, 3, p_m, units)
 
     wave_list = []
     if wave1 is not None:
@@ -247,104 +243,40 @@ def _fan_state(gas, outer, family, xi, units):
     """State inside a family-1/3 fan at similarity coordinate xi: the point
     of the rarefaction curve from `outer` where lambda_family = xi.
 
-    lambda_family is monotone in p along the curve (genuine nonlinearity),
-    so bisection on ln p is safe.  In vacuum-adjacent fans the pressure may
-    fall below any window; the coldness is capped at the extended window and
+    lambda_family is monotone in the coldness along the curve (genuine
+    nonlinearity), so one bracketed root in ln gamma on lambda(gamma) = xi
+    finds it; the pressure then follows from the isentrope.  In
+    vacuum-adjacent fans the coldness is capped at the extended window and
     the vacuum marker is returned past the cap.
     """
     from scipy.optimize import brentq
 
-    def lam_at(p):
-        st = waves.rarefaction_state(gas, outer, family, p, units, _SOLVER_WINDOW)
-        return waves._acoustic_lambda(gas, st, family, units), st
-
     lam_outer = waves._acoustic_lambda(gas, outer, family, units)
     if (xi <= lam_outer) if family == 1 else (xi >= lam_outer):
         return outer
-    p_floor = eos.pressure_isentrope(
-        gas, _SOLVER_WINDOW[1], outer.shat, window=_SOLVER_WINDOW, units=units
-    )
-    lam_floor, st_floor = lam_at(p_floor)
-    if (xi >= lam_floor) if family == 1 else (xi <= lam_floor):
+    # lambda_1 rises and lambda_3 falls as the coldness grows along the fan
+    sign = 1.0 if family == 1 else -1.0
+
+    def h(lg):
+        gamma = math.exp(lg)
+        v = waves._rarefaction_velocity(gas, outer, family, gamma, units)
+        cs = eos.rest_frame_speed(gas, gamma, window=_SOLVER_WINDOW, units=units)
+        return sign * (waves._compose(v, -sign * cs, units.c) - xi)
+
+    lo, hi = math.log(outer.gamma), math.log(_SOLVER_WINDOW[1])
+    if h(lo) >= 0.0:  # xi within rounding of the head characteristic
+        return outer
+    if h(hi) <= 0.0:
         # beyond the representable tail of a vacuum-adjacent fan
         return FluidState.vacuum(v=xi)
-
-    def h(lnp):
-        lam, _ = lam_at(math.exp(lnp))
-        return lam - xi
-
-    lnp = brentq(h, math.log(p_floor), math.log(outer.p), xtol=1e-14, rtol=8.9e-16)
-    _, st = lam_at(math.exp(lnp))
-    return st
-
-
-def sample(solution, xi, units=DEFAULT_UNITS):
-    """Self-similar state u(xi = x/t) of a RiemannSolution.
-
-    Total in xi: constant states outside the waves, fan interiors resolved
-    by the characteristic condition, a marker state inside vacuum regions.
-    """
-    gas = solution.input.gas
-    left = solution.input.left
-    right = solution.input.right
-
-    if solution.vacuum:
-        fan1, edge, fan3 = solution.waves
-        if xi <= fan1.speed_lo:
-            return left
-        if xi < fan1.speed_hi:
-            return _fan_state(gas, left, 1, xi, units)
-        if xi <= edge.speed_hi:
-            if xi >= edge.speed_lo:
-                return FluidState.vacuum(v=xi)
-            return _fan_state(gas, left, 1, xi, units)
-        if xi < fan3.speed_hi:
-            return _fan_state(gas, right, 3, xi, units)
-        return right
-
-    # region lookup left-to-right
-    wave1 = next((w for w in solution.waves if w.family == 1), None)
-    wave3 = next((w for w in solution.waves if w.family == 3), None)
-    v_m = solution.v_m if solution.v_m is not None else left.v
-
-    if wave1 is not None:
-        if xi < wave1.speed_lo:
-            return left
-        if wave1.kind == "rarefaction" and xi <= wave1.speed_hi:
-            return _fan_state(gas, left, 1, xi, units)
-        if wave1.kind == "shock" and xi == wave1.speed_lo:
-            return left
-    elif xi < v_m:
-        return left
-
-    if xi <= v_m:
-        return solution.u_ml if solution.u_ml is not None else left
-
-    if wave3 is not None:
-        if xi > wave3.speed_hi:
-            return right
-        if wave3.kind == "rarefaction" and xi >= wave3.speed_lo:
-            return _fan_state(gas, right, 3, xi, units)
-        if wave3.kind == "shock" and xi < wave3.speed_lo:
-            return solution.u_mr if solution.u_mr is not None else right
-        return right
-
-    return solution.u_mr if solution.u_mr is not None else right
-
-
-def solve_primitive(gas, left_rho, left_v, left_p, right_rho, right_v, right_p,
-                    units=DEFAULT_UNITS, window=eos.DEFAULT_WINDOW):
-    """Convenience wrapper taking primitive tuples."""
-    left = eos.state_from_primitive(gas, left_rho, left_v, left_p, window, units)
-    right = eos.state_from_primitive(gas, right_rho, right_v, right_p, window, units)
-    return solve(RiemannInput(gas=gas, left=left, right=right), units)
-
-
-SAMPLE_CSV_HEADER = "xi,rho,v,p,gamma,shat,region"
+    gamma = math.exp(brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    p = eos.pressure_isentrope(gas, gamma, outer.shat, window=_SOLVER_WINDOW, units=units)
+    return waves._rarefaction_at(gas, outer, family, gamma, p, units)
 
 
 def classify_region(solution, xi, units=DEFAULT_UNITS):
-    """Label of the region xi falls in; mirrors `sample`'s lookup."""
+    """Label of the region of `solution` that xi falls in: left, 1-fan,
+    left-star, vacuum, right-star, 3-fan or right."""
     if solution.vacuum:
         fan1, edge, fan3 = solution.waves
         if xi <= fan1.speed_lo:
@@ -358,7 +290,6 @@ def classify_region(solution, xi, units=DEFAULT_UNITS):
         return "right"
     wave1 = next((w for w in solution.waves if w.family == 1), None)
     wave3 = next((w for w in solution.waves if w.family == 3), None)
-    v_m = solution.v_m if solution.v_m is not None else solution.input.left.v
     if wave1 is not None:
         if xi < wave1.speed_lo:
             return "left"
@@ -366,9 +297,9 @@ def classify_region(solution, xi, units=DEFAULT_UNITS):
             return "1-fan"
         if wave1.kind == "shock" and xi == wave1.speed_lo:
             return "left"
-    elif xi < v_m:
+    elif xi < solution.v_m:
         return "left"
-    if xi <= v_m:
+    if xi <= solution.v_m:
         return "left-star"
     if wave3 is not None:
         if xi > wave3.speed_hi:
@@ -381,11 +312,48 @@ def classify_region(solution, xi, units=DEFAULT_UNITS):
     return "right-star"
 
 
+def _region_state(solution, region, xi, units):
+    gas = solution.input.gas
+    if region == "left":
+        return solution.input.left
+    if region == "1-fan":
+        return _fan_state(gas, solution.input.left, 1, xi, units)
+    if region == "left-star":
+        return solution.u_ml
+    if region == "vacuum":
+        return FluidState.vacuum(v=xi)
+    if region == "right-star":
+        return solution.u_mr
+    if region == "3-fan":
+        return _fan_state(gas, solution.input.right, 3, xi, units)
+    return solution.input.right
+
+
+def sample(solution, xi, units=DEFAULT_UNITS):
+    """Self-similar state u(xi = x/t) of a RiemannSolution.
+
+    Total in xi: constant states outside the waves, fan interiors resolved
+    by the characteristic condition, a marker state inside vacuum regions.
+    """
+    return _region_state(solution, classify_region(solution, xi, units), xi, units)
+
+
+def solve_primitive(gas, left_rho, left_v, left_p, right_rho, right_v, right_p,
+                    units=DEFAULT_UNITS, window=eos.DEFAULT_WINDOW):
+    """Convenience wrapper taking primitive tuples."""
+    left = eos.state_from_primitive(gas, left_rho, left_v, left_p, window, units)
+    right = eos.state_from_primitive(gas, right_rho, right_v, right_p, window, units)
+    return solve(RiemannInput(gas=gas, left=left, right=right), units)
+
+
+SAMPLE_CSV_HEADER = "xi,rho,v,p,gamma,shat,region"
+
+
 def sample_csv(solution, xi_values, units=DEFAULT_UNITS):
     lines = [SAMPLE_CSV_HEADER]
     for xi in xi_values:
-        st = sample(solution, xi, units)
         region = classify_region(solution, xi, units)
+        st = _region_state(solution, region, xi, units)
         lines.append(
             f"{xi:.17g},{st.rho:.17g},{st.v:.17g},{st.p:.17g},"
             f"{st.gamma:.17g},{st.shat:.17g},{region}"

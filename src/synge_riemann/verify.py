@@ -15,8 +15,8 @@ series forms beyond gamma = 30 so reported margins stay meaningful down to
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from . import _series, bessel, eos
 from .eos import GasKind

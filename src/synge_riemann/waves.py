@@ -1,14 +1,11 @@
 """Eigenstructure, Riemann invariants, and the elementary wave curves.
 
 Shocks are built from the relativistic Hugoniot (Taub) adiabat plus the
-rest-frame jump relations; rarefactions integrate the isentrope ODE with an
-embedded Runge-Kutta pair.  Both constructions work in the frame where the
-anchor state is at rest and return to the lab frame by relativistic velocity
-composition, which is exact in one dimension.
-
-The acoustic Riemann invariants use the coldness substitution
-dp = (dp/dgamma)|_S dgamma, turning the improper p -> 0 endpoint into a
-decaying classical tail with a closed-series form beyond gamma = 30.
+rest-frame jump relations, in the frame where the anchor state is at rest,
+and return to the lab frame by relativistic velocity composition, which is
+exact in one dimension.  Rarefactions carry the anchor's acoustic Riemann
+invariant: artanh(v/c) -/+ J(gamma) is constant along them, with J the
+dimensionless integral `eos.invariant` of the coldness alone.
 """
 
 import math
@@ -23,7 +20,6 @@ FAMILIES = (1, 2, 3)
 
 #: tolerances of the construction layer
 RH_TOL = 1e-9
-INVARIANT_TOL = 1e-8
 
 
 def _require_family(family, acoustic_only=True):
@@ -53,36 +49,8 @@ def _acoustic_lambda(gas, state, family, units=DEFAULT_UNITS):
     return lams[0] if family == 1 else lams[2]
 
 
-def invariant_quadrature(gas, gamma, units=DEFAULT_UNITS):
-    """J(gamma) = integral_0^p sqrt(e_p)/((e+p)c) dp along the isentrope,
-    expressed in the coldness variable (integral from gamma to infinity).
-
-    Independent of the entropy label: the integrand is a function of the
-    coldness alone.
-    """
-    from scipy.integrate import quad
-
-    switch = 30.0
-    tail = eos.invariant_tail(gas, max(gamma, switch))
-    if gamma >= switch:
-        return tail / units.c
-    body, err = quad(
-        lambda t: eos.invariant_integrand(gas, t),
-        gamma,
-        switch,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=200,
-    )
-    if err > 1e-10 * max(1.0, abs(body)):
-        raise ConvergenceError(
-            f"invariant quadrature error estimate {err:.2e} too large at gamma={gamma!r}"
-        )
-    return (body + tail) / units.c
-
-
 def riemann_invariants(gas, state, units=DEFAULT_UNITS):
-    """(rbar, sbar): artanh(v/c) +/- J(p, shat).
+    """(rbar, sbar): artanh(v/c) +/- J(gamma).
 
     rbar is constant across 1-rarefactions, sbar across 3-rarefactions;
     their ordering across the initial jump decides vacuum formation.
@@ -90,7 +58,7 @@ def riemann_invariants(gas, state, units=DEFAULT_UNITS):
     w = math.atanh(state.v / units.c)
     if state.is_vacuum:
         return (w, w)
-    J = invariant_quadrature(gas, state.gamma, units)
+    J = eos.invariant(gas, state.gamma)
     return (w + J, w - J)
 
 
@@ -107,14 +75,9 @@ def rarefaction_state(gas, left, family, p, units=DEFAULT_UNITS, window=DEFAULT_
     """State on the family-1 (or forward family-3) rarefaction curve from
     `left` at pressure p (p <= p_anchor: expansion side).
 
-    Entropy is carried unchanged; v integrates
-    dv/dp = -/+ sqrt(e_p)(c^2 - v^2)/((e+p)c) with an adaptive embedded
-    Runge-Kutta pair, in the coldness variable where the right side is
-    closed-form.  The acoustic invariant is preserved to ~1e-10 and checked
-    by the test suite against the independent quadrature route.
+    The coldness follows from the carried entropy, gamma = gamma_from(p, shat);
+    `_rarefaction_at` then builds the state there.
     """
-    from scipy.integrate import solve_ivp
-
     _require_family(family)
     if not p > 0.0:
         raise DomainError(f"p must be positive, got {p!r}")
@@ -124,59 +87,31 @@ def rarefaction_state(gas, left, family, p, units=DEFAULT_UNITS, window=DEFAULT_
         )
     if p == left.p:
         return left
-    sign = -1.0 if family == 1 else +1.0
-    c = units.c
-    g_from = left.gamma
-    g_to = eos.gamma_from(gas, p, left.shat, window=window, units=units)
+    gamma = eos.gamma_from(gas, p, left.shat, window=window, units=units)
+    return _rarefaction_at(gas, left, family, gamma, p, units)
 
-    def rhs(s, y):
-        # dv/dp = -/+ sqrt(e_p)(c^2 - v^2)/((e+p) c) along the isentrope,
-        # rewritten in s = ln gamma (dp = p dlnp/dgamma dgamma):
-        # dv/ds = -/+ sqrt(e_p) (-dlnp/dg)/(r+1) * gamma * (c^2 - v^2)/c
-        g = math.exp(s)
-        v = y[0]
-        f = eos.invariant_integrand(gas, g)
-        return (-sign * f * g * (c * c - v * v) / c,)
 
-    sol = solve_ivp(
-        rhs,
-        (math.log(g_from), math.log(g_to)),
-        (left.v,),
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"rarefaction ODE failed: {sol.message}")
-    v = float(sol.y[0][-1])
-    gamma = g_to
+def _rarefaction_velocity(gas, left, family, gamma, units):
+    """Velocity at coldness gamma on the rarefaction curve from `left`:
+    artanh(v/c) = artanh(v_a/c) -/+ (J(gamma) - J(gamma_a)), the invariant
+    rbar (family 1) or sbar (family 3) of the anchor carried over."""
+    dJ = eos.invariant(gas, gamma) - eos.invariant(gas, left.gamma)
+    w = math.atanh(left.v / units.c)
+    w = w - dJ if family == 1 else w + dJ
+    return units.c * math.tanh(w)
+
+
+def _rarefaction_at(gas, left, family, gamma, p, units):
+    """State on the rarefaction curve from `left` at coldness gamma, where
+    the isentrope of `left` passes through pressure p."""
     return FluidState(
         p=p,
-        v=v,
+        v=_rarefaction_velocity(gas, left, family, gamma, units),
         shat=left.shat,
         gamma=gamma,
         rho=gamma * p / units.c2,
         e=p * eos.energy_ratio(gas, gamma, window=eos.EXTENDED_WINDOW),
     )
-
-
-def rarefaction_velocity(gas, left, family, p, units=DEFAULT_UNITS, window=DEFAULT_WINDOW):
-    """Closed-form rarefaction-curve velocity via the preserved invariant:
-    artanh(v/c) = artanh(v_a/c) -/+ (J(p) - J(p_a)).  Quadrature route,
-    cross-checked against the ODE of `rarefaction_state`."""
-    _require_family(family)
-    if p == left.p:
-        return left.v
-    g_to = eos.gamma_from(gas, p, left.shat, window=window, units=units)
-    dJ = invariant_quadrature(gas, g_to, units) - invariant_quadrature(gas, left.gamma, units)
-    # p < p_a means gamma_to > gamma_a and dJ < 0
-    w = math.atanh(left.v / units.c)
-    if family == 1:
-        w -= dJ
-    else:
-        w += dJ
-    return units.c * math.tanh(w)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +140,14 @@ def taub_adiabat_residual(gas, left, right_gamma, p, units=DEFAULT_UNITS):
     return (lhs - rhs) / abs(rhs)
 
 
-def _taub_gamma(gas, left, p, units):
+def _taub_gamma(gas, left, p):
     """Downstream coldness on the compressive branch (p >= p_L): the root of
     the Taub adiabat adjacent to gamma_L, bracketed below it (temperature
     rises across the shock, so the coldness falls)."""
     from scipy.optimize import brentq
 
     def F(lg):
-        return taub_adiabat_residual(gas, left, math.exp(lg), p, units)
+        return taub_adiabat_residual(gas, left, math.exp(lg), p)
 
     hi = math.log(left.gamma)
     f_hi = F(hi)
@@ -257,15 +192,10 @@ def shock_state(gas, left, family, p, units=DEFAULT_UNITS, window=DEFAULT_WINDOW
         s = _acoustic_lambda(gas, left, family, units)
         return ShockPoint(state=left, s=s, family=family, residuals=(0.0, 0.0, 0.0))
     if family == 3:
-        mirrored = FluidState(
-            p=left.p, v=-left.v, shat=left.shat, gamma=left.gamma, rho=left.rho, e=left.e
-        )
-        sp = shock_state(gas, mirrored, 1, p, units, window)
-        st = sp.state
-        flipped = FluidState(p=st.p, v=-st.v, shat=st.shat, gamma=st.gamma, rho=st.rho, e=st.e)
-        return ShockPoint(state=flipped, s=-sp.s, family=3, residuals=sp.residuals)
+        sp = shock_state(gas, left.mirrored(), 1, p, units, window)
+        return ShockPoint(state=sp.state.mirrored(), s=-sp.s, family=3, residuals=sp.residuals)
 
-    gamma_d = _taub_gamma(gas, left, p, units)
+    gamma_d = _taub_gamma(gas, left, p)
     r_d = eos.energy_ratio(gas, gamma_d, window=eos.EXTENDED_WINDOW)
     e_d = p * r_d
     e_L, p_L = left.e, left.p

@@ -1,16 +1,6 @@
 import pytest
 
-from synge_riemann import bessel
 from synge_riemann.eos import GasKind
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Warm the JIT-compiled Bessel kernels once so runtime-budget tests
-    measure steady-state evaluation, not compilation."""
-    for g in (0.5, 20.0):
-        bessel.bessel_k(0, g)
-    yield
 
 
 @pytest.fixture(params=[GasKind.MONATOMIC, GasKind.DIATOMIC], ids=["monatomic", "diatomic"])

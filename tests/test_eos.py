@@ -46,7 +46,7 @@ class TestEnergyRatio:
 
     def test_monatomic_value_from_ratios(self):
         g = 1.7
-        z = bessel.ratio(bessel.K1_OVER_K2, g)
+        z = bessel.k1_over_k2(g)
         assert abs(eos.energy_ratio(MONO, g) - (g * z + 3.0)) < 1e-14
 
 
@@ -152,6 +152,20 @@ class TestStates:
             eos.state_from_primitive(MONO, -1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             eos.state_from_primitive(MONO, 1.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["rho", "v", "p"])
+    def test_non_finite_primitive_rejected(self, field, bad):
+        args = {"rho": 1.0, "v": 0.0, "p": 1.0, field: bad}
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            eos.state_from_primitive(MONO, args["rho"], args["v"], args["p"])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["p", "v", "shat"])
+    def test_non_finite_pvs_rejected(self, field, bad):
+        args = {"p": 1.0, "v": 0.0, "shat": 0.0, field: bad}
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            eos.state_from_pvs(DIA, args["p"], args["v"], args["shat"])
 
     def test_round_trip(self, gas):
         st_ = eos.state_from_primitive(gas, 0.7, 0.3, 0.2)

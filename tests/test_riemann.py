@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synge_riemann import eos, riemann, waves
-from synge_riemann.eos import FluidState, GasKind
+from synge_riemann.eos import FluidState, GasKind, Units
 from synge_riemann.riemann import RiemannInput
 
 MONO = GasKind.MONATOMIC
@@ -27,16 +27,22 @@ MIRROR_PM_MONO = 0.60780560536556746
 VACUUM_W_STAR = {MONO: 0.99894249699274743, DIA: 0.99976657249309439}
 
 
-def sod_input(gas):
-    left = eos.state_from_primitive(gas, 1.0, 0.0, 1.0)
-    right = eos.state_from_primitive(gas, 0.125, 0.0, 0.1)
-    return RiemannInput(gas=gas, left=left, right=right)
+def sod_input(gas, units=eos.DEFAULT_UNITS):
+    """Sod data (1, 0, 1 | 0.125, 0, 0.1) in units of c: (rho, v/c, p/c^2)."""
+    return scaled_input(gas, (1.0, 0.0, 1.0), (0.125, 0.0, 0.1), units)
 
 
-def mirror_input(gas, w, p=1.0, rho=1.0):
-    left = eos.state_from_primitive(gas, rho, -w, p)
-    right = eos.state_from_primitive(gas, rho, +w, p)
-    return RiemannInput(gas=gas, left=left, right=right)
+def mirror_input(gas, w, p=1.0, rho=1.0, units=eos.DEFAULT_UNITS):
+    return scaled_input(gas, (rho, -w, p), (rho, w, p), units)
+
+
+def scaled_input(gas, left, right, units):
+    c = units.c
+
+    def state(rho, v, p):
+        return eos.state_from_primitive(gas, rho, v * c, p * c * c, units=units)
+
+    return RiemannInput(gas=gas, left=state(*left), right=state(*right))
 
 
 class TestCurveVelocity:
@@ -256,6 +262,66 @@ class TestVacuumCriterion:
         sol = riemann.solve(mirror_input(gas, w_star))
         assert sol.vacuum  # onset treated as vacuum, flagged as boundary
         assert sol.vacuum_boundary
+
+
+class TestUnits:
+    """A solve in Units(c=2) is the c = 1 solve with p scaled by c^2 and
+    velocities by c; the coldness does not change."""
+
+    @pytest.mark.parametrize("problem", ["sod", "mirror"])
+    def test_light_speed_scaling(self, gas, problem):
+        c = 2.0
+        units = Units(c=c)
+        if problem == "sod":
+            inputs = sod_input(gas), sod_input(gas, units)
+        else:
+            inputs = mirror_input(gas, 0.2), mirror_input(gas, 0.2, units=units)
+        one = riemann.solve(inputs[0])
+        two = riemann.solve(inputs[1], units)
+        assert abs(two.p_m / c**2 - one.p_m) < 1e-10 * one.p_m
+        assert abs(two.v_m / c - one.v_m) < 1e-10
+        assert [w.kind for w in two.waves] == [w.kind for w in one.waves]
+        for w1, w2 in zip(one.waves, two.waves):
+            assert abs(w2.speed_lo / c - w1.speed_lo) < 1e-10
+            assert abs(w2.speed_hi / c - w1.speed_hi) < 1e-10
+        for a, b in ((one.u_ml, two.u_ml), (one.u_mr, two.u_mr)):
+            assert abs(b.gamma / a.gamma - 1.0) < 1e-10
+        assert abs(riemann.sample(two, 0.0, units).v - two.v_m) < 1e-10 * c
+        fan = one.waves[0]
+        for xi in (fan.speed_lo, 0.5 * (fan.speed_lo + fan.speed_hi), fan.speed_hi):
+            a = riemann.sample(one, xi)
+            b = riemann.sample(two, xi * c, units)
+            assert abs(b.v / c - a.v) < 1e-10
+            assert abs(b.p / c**2 - a.p) < 1e-10 * a.p
+
+
+positive = st.floats(min_value=0.05, max_value=20.0)
+speed = st.floats(min_value=-0.95, max_value=0.95)
+
+
+@given(
+    st.sampled_from([MONO, DIA]),
+    st.tuples(positive, speed, positive),
+    st.tuples(positive, speed, positive),
+)
+@settings(max_examples=25, deadline=None)
+def test_swap_mirrors_solution(gas, left, right):
+    """Swapping the sides and reversing the velocities mirrors the solution:
+    the same p_m, v_m -> -v_m, and the waves in reverse order with their
+    families exchanged and their speeds negated."""
+    sol = riemann.solve(scaled_input(gas, left, right, eos.DEFAULT_UNITS))
+    swapped = scaled_input(gas, right, left, eos.DEFAULT_UNITS)
+    swapped = RiemannInput(gas=gas, left=swapped.left.mirrored(), right=swapped.right.mirrored())
+    mir = riemann.solve(swapped)
+    assert mir.vacuum == sol.vacuum
+    if not sol.vacuum:
+        assert abs(mir.p_m / sol.p_m - 1.0) < 1e-10
+        assert abs(mir.v_m + sol.v_m) < 1e-10
+    assert len(mir.waves) == len(sol.waves)
+    for w, m in zip(sol.waves, reversed(mir.waves)):
+        assert (m.kind, m.family) == (w.kind, 4 - w.family)
+        assert abs(m.speed_lo + w.speed_hi) < 1e-10
+        assert abs(m.speed_hi + w.speed_lo) < 1e-10
 
 
 class TestSerialization:

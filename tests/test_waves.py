@@ -1,7 +1,11 @@
 """Wave structure: eigenvalues, invariants, shocks, rarefactions, curves."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,9 @@ from hypothesis import strategies as st
 
 from synge_riemann import eos, waves
 from synge_riemann.eos import FluidState, GasKind
-from synge_riemann.errors import DomainError
+from synge_riemann.errors import AccuracyWindowWarning, DomainError, WindowError
 
+import oracles
 from helpers import log_grid
 
 MONO = GasKind.MONATOMIC
@@ -85,8 +90,42 @@ class TestRiemannInvariants:
         tail, _ = quad(tail_integrand, q_lo, q_hi, epsabs=1e-13, epsrel=1e-11, limit=300)
         tail += tail_integrand(q_lo) * q_lo  # classical plateau below q_lo
 
-        j_gamma = waves.invariant_quadrature(gas, st_.gamma)
+        j_gamma = eos.invariant(gas, st_.gamma)
         assert abs((body + tail) / j_gamma - 1.0) < 1e-7
+
+    def test_table_against_quadrature_oracle(self, gas):
+        for g in log_grid(1e-14, 30.0, 25):
+            J = eos.invariant(gas, g)
+            assert abs(J - oracles.invariant_quadrature(gas, g)) <= 1e-12 * max(1.0, abs(J)), g
+
+    def test_continuous_at_series_switch(self, gas):
+        below = eos.invariant(gas, math.nextafter(30.0, 0.0))
+        assert abs(below - eos.invariant(gas, 30.0)) < 1e-13
+
+    def test_below_extended_window_rejected(self, gas):
+        with pytest.raises(WindowError):
+            eos.invariant(gas, 1e-15)
+
+    def test_table_build_raises_no_window_warning(self, gas, monkeypatch):
+        # the table's nodes reach gamma = 1e-14, below the Bessel window
+        monkeypatch.setattr(eos, "_INVARIANT_TABLES", {})
+        eos._cold.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWindowWarning)
+            eos.invariant(gas, 1.0)
+        assert gas in eos._INVARIANT_TABLES
+
+    def test_table_not_built_by_import_or_verify(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import synge_riemann as s\n"
+            "assert not s.eos._INVARIANT_TABLES\n"
+            "s.verify.run_checks(points=50)\n"
+            "assert not s.eos._INVARIANT_TABLES\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_invariant_constant_along_rarefaction_curve(self, gas):
         left = anchor_state(gas)
@@ -124,9 +163,20 @@ class TestRarefaction:
     def test_ode_against_closed_form(self, gas):
         left = anchor_state(gas)
         for frac in (0.7, 0.3, 0.1):
-            v_ode = waves.rarefaction_state(gas, left, 1, frac).v
-            v_inv = waves.rarefaction_velocity(gas, left, 1, frac)
+            v_ode = oracles.rarefaction_ode(gas, left, 1, frac).v
+            v_inv = waves.rarefaction_state(gas, left, 1, frac).v
             assert abs(v_ode - v_inv) < 1e-9
+
+    def test_ode_next_to_vacuum(self, gas):
+        # deep into the fan tail (gamma 2e3..1e8), from fast anchors of both families
+        wide = eos.EXTENDED_WINDOW
+        for v0, family in ((0.0, 1), (0.9, 1), (-0.9, 3), (0.99, 3)):
+            left = anchor_state(gas, v=v0)
+            for frac in (1e-12, 1e-18):
+                st_ode = oracles.rarefaction_ode(gas, left, family, frac, window=wide)
+                st_inv = waves.rarefaction_state(gas, left, family, frac, window=wide)
+                assert st_inv.gamma == st_ode.gamma and st_inv.gamma > 1e3
+                assert abs(st_ode.v - st_inv.v) < 1e-9, (v0, family, frac)
 
     def test_shock_side_rejected(self, gas):
         with pytest.raises(DomainError):
