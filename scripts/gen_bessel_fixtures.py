@@ -1,14 +1,17 @@
 """Regenerate tests/data/bessel_fixtures.csv.
 
 Columns: order, gamma, value, scaled, oracle_value (17 significant digits).
-`value`/`scaled` come from the production evaluator, `oracle_value` from the
-independent quadrature; the CSV freezes both so regressions in either route
-are caught even without scipy's quadrature at test time.
+`value` = K_order(gamma) and `scaled` = e^gamma K_order(gamma) come from
+mpmath at 30 digits, `oracle_value` from the package's independent quadrature
+(`bessel.oracle_quadrature`); neither column is taken from the production
+kernel, so the CSV stays a reference for it.  Run with
+`python3 scripts/gen_bessel_fixtures.py`; it needs mpmath and scipy.
 """
 
-import math
 import pathlib
 import sys
+
+import mpmath
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -23,8 +26,10 @@ def main():
     lines = ["order,gamma,value,scaled,oracle_value"]
     for order in range(4):
         for g in gammas:
-            value = bessel.bessel_k(order, g)
-            scaled = bessel.bessel_k_scaled(order, g)
+            with mpmath.workdps(30):
+                exact = mpmath.besselk(order, g)
+                value = float(exact)
+                scaled = float(exact * mpmath.exp(g))
             oracle = bessel.oracle_quadrature(order, g)
             lines.append(f"{order},{g:.17g},{value:.17g},{scaled:.17g},{oracle:.17g}")
     OUT.write_text("\n".join(lines) + "\n")

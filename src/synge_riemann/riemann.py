@@ -274,7 +274,7 @@ def _fan_state(gas, outer, family, xi, units):
     return waves._rarefaction_at(gas, outer, family, gamma, p, units)
 
 
-def classify_region(solution, xi, units=DEFAULT_UNITS):
+def classify_region(solution, xi):
     """Label of the region of `solution` that xi falls in: left, 1-fan,
     left-star, vacuum, right-star, 3-fan or right."""
     if solution.vacuum:
@@ -304,11 +304,9 @@ def classify_region(solution, xi, units=DEFAULT_UNITS):
     if wave3 is not None:
         if xi > wave3.speed_hi:
             return "right"
-        if wave3.kind == "rarefaction" and xi >= wave3.speed_lo:
-            return "3-fan"
-        if wave3.kind == "shock" and xi < wave3.speed_lo:
-            return "right-star"
-        return "right"
+        if wave3.kind == "rarefaction":
+            return "3-fan" if xi >= wave3.speed_lo else "right-star"
+        return "right-star" if xi < wave3.speed_lo else "right"
     return "right-star"
 
 
@@ -335,7 +333,7 @@ def sample(solution, xi, units=DEFAULT_UNITS):
     Total in xi: constant states outside the waves, fan interiors resolved
     by the characteristic condition, a marker state inside vacuum regions.
     """
-    return _region_state(solution, classify_region(solution, xi, units), xi, units)
+    return _region_state(solution, classify_region(solution, xi), xi, units)
 
 
 def solve_primitive(gas, left_rho, left_v, left_p, right_rho, right_v, right_p,
@@ -352,7 +350,7 @@ SAMPLE_CSV_HEADER = "xi,rho,v,p,gamma,shat,region"
 def sample_csv(solution, xi_values, units=DEFAULT_UNITS):
     lines = [SAMPLE_CSV_HEADER]
     for xi in xi_values:
-        region = classify_region(solution, xi, units)
+        region = classify_region(solution, xi)
         st = _region_state(solution, region, xi, units)
         lines.append(
             f"{xi:.17g},{st.rho:.17g},{st.v:.17g},{st.p:.17g},"

@@ -20,6 +20,11 @@ FAMILIES = (1, 2, 3)
 
 #: tolerances of the construction layer
 RH_TOL = 1e-9
+#: relative shock strength p/p_L - 1 at or below which the shock is the
+#: anchor's acoustic wave: the Taub root cannot resolve it (its bracket fails
+#: or e - e_L rounds to 0 up to about 1e-13), and the velocity it would add
+#: is below 1e-12 c
+WEAK_SHOCK = 1e-12
 
 
 def _require_family(family, acoustic_only=True):
@@ -128,7 +133,7 @@ class ShockPoint:
     residuals: Tuple[float, float, float]
 
 
-def taub_adiabat_residual(gas, left, right_gamma, p, units=DEFAULT_UNITS):
+def taub_adiabat_residual(gas, left, right_gamma, p):
     """Residual of the Hugoniot (Taub) adiabat
     (e+p)(e+p_L)/n^2 - (e_L+p_L)(e_L+p)/n_L^2 at downstream (right_gamma, p),
     normalized by the left-state magnitude."""
@@ -188,7 +193,7 @@ def shock_state(gas, left, family, p, units=DEFAULT_UNITS, window=DEFAULT_WINDOW
             f"compressive side requires p >= p_anchor: p={p!r}, p_anchor={left.p!r}"
         )
     c = units.c
-    if p == left.p:
+    if p <= left.p * (1.0 + WEAK_SHOCK):
         s = _acoustic_lambda(gas, left, family, units)
         return ShockPoint(state=left, s=s, family=family, residuals=(0.0, 0.0, 0.0))
     if family == 3:

@@ -3,6 +3,7 @@
 import csv
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,14 +118,26 @@ def test_asymptotic_remainder_bound_certificate():
                 assert abs(g**n * (exact - partial)) <= bound * (1.0 + 1e-9), (g, j, n)
 
 
-def test_branch_overlap_agreement():
-    # series and asymptotic expansions agree through the switch band
-    from synge_riemann._ddcore import _k01_series, _k_asym_scaled
+def test_branch_switch_continuity():
+    # the power series and CF2 agree across the switch at gamma = 2
+    for g in [1.9 + 0.0125 * i for i in range(17)]:
+        series = bessel._k01_series(g)
+        cf2 = bessel._k01_cf2(g)
+        for a, b in zip(series, cf2):
+            assert abs(a / b - 1.0) < 1e-14, (g, series, cf2)
 
-    for g in [16.0 + 0.25 * i for i in range(17)]:
-        _, k0s, _, k1s = _k01_series(g)
-        assert abs(k0s / _k_asym_scaled(0, g) - 1.0) < 1e-12
-        assert abs(k1s / _k_asym_scaled(1, g) - 1.0) < 1e-12
+
+def test_kernel_against_mpmath():
+    # e^g K0 and e^g K1 to 4e-15 relative, from inside the extended window
+    # up to ten times past the documented one
+    with mpmath.workdps(30):
+        for g in log_grid(1e-14, 1e5, 61):
+            _, k0s, _, k1s = bessel.k01(g)
+            x = mpmath.mpf(g)
+            scale = mpmath.exp(x)
+            for got, order in ((k0s, 0), (k1s, 1)):
+                ref = mpmath.besselk(order, x) * scale
+                assert abs(got / ref - 1) <= 4e-15, (g, order)
 
 
 def test_oracle_agreement_sample():
@@ -171,9 +184,10 @@ def test_window_warning():
         bessel.bessel_k_scaled(1, 2e4)
 
 
-@given(st.floats(min_value=1e-6, max_value=1e4))
+@given(st.floats(min_value=1e-6, max_value=1e4 / 1.001))
 @settings(max_examples=60, deadline=None)
 def test_monotone_decreasing_and_order_increasing(g):
+    # capped so that both g and 1.001 g stay inside bessel.WINDOW
     h = g * (1.0 + 1e-3)
     for j in range(4):
         # strict decrease of the unscaled function via scaled comparison:
