@@ -2,9 +2,9 @@
 
 Columns: order, gamma, value, scaled, oracle_value (17 significant digits).
 `value` = K_order(gamma) and `scaled` = e^gamma K_order(gamma) come from
-mpmath at 30 digits, `oracle_value` from the package's independent quadrature
-(`bessel.oracle_quadrature`); neither column is taken from the production
-kernel, so the CSV stays a reference for it.  Run with
+mpmath at 30 digits, `oracle_value` from the independent quadrature
+`oracle_quadrature` of tests/oracles.py; neither column is taken from the
+production kernel, so the CSV stays a reference for it.  Run with
 `python3 scripts/gen_bessel_fixtures.py`; it needs mpmath and scipy.
 """
 
@@ -13,11 +13,12 @@ import sys
 
 import mpmath
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from synge_riemann import bessel  # noqa: E402
+from oracles import oracle_quadrature  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "bessel_fixtures.csv"
+OUT = ROOT / "tests" / "data" / "bessel_fixtures.csv"
 
 
 def main():
@@ -30,7 +31,7 @@ def main():
                 exact = mpmath.besselk(order, g)
                 value = float(exact)
                 scaled = float(exact * mpmath.exp(g))
-            oracle = bessel.oracle_quadrature(order, g)
+            oracle = oracle_quadrature(order, g)
             lines.append(f"{order},{g:.17g},{value:.17g},{scaled:.17g},{oracle:.17g}")
     OUT.write_text("\n".join(lines) + "\n")
     print(f"wrote {OUT} ({len(lines) - 1} rows)")

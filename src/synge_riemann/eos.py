@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import _series, bessel
+from ._roots import brentq
 from .errors import BracketError, ConvergenceError, DomainError, WindowError
 
 #: documented accuracy window for the coldness gamma
@@ -215,8 +216,6 @@ def gamma_from(gas, p, shat, window=DEFAULT_WINDOW, units=DEFAULT_UNITS):
     Monotonicity of p in gamma makes bracketing safe; the bracket expands
     geometrically inside the window and exhaustion raises BracketError.
     """
-    from scipy.optimize import brentq
-
     if not p > 0.0:
         raise DomainError(f"p must be positive, got {p!r}")
     target = math.log(p) + shat - units.S0
@@ -258,7 +257,7 @@ def gamma_from(gas, p, shat, window=DEFAULT_WINDOW, units=DEFAULT_UNITS):
                 )
             b, fb = a, fa
             step *= 2.0
-    lg_root = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
+    lg_root = brentq(f, a, b, fa, fb, xtol=1e-15, rtol=8.9e-16)
     gamma = math.exp(lg_root)
     resid = abs(math.exp(_ln_phi(gas, gamma) - target) - 1.0)
     if resid > 1e-12:

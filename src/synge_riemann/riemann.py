@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import eos, waves
+from ._roots import brentq
 from .eos import DEFAULT_UNITS, FluidState, GasKind
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -135,8 +136,6 @@ def _acoustic_wave(gas, anchor, family, p_m, units):
 
 def solve(riemann_input, units=DEFAULT_UNITS):
     """Exact Riemann solution for the given left/right data."""
-    from scipy.optimize import brentq
-
     gas = riemann_input.gas
     left = riemann_input.left
     right = riemann_input.right
@@ -192,27 +191,27 @@ def solve(riemann_input, units=DEFAULT_UNITS):
     if f_lo <= 0.0:
         # intersection below p_lo: shrink further (deep expansion)
         for _ in range(40):
-            p_hi_new = p_lo
+            p_hi, f_hi = p_lo, f_lo
             p_lo *= 1e-3
-            trace.append((p_lo, p_hi_new))
+            trace.append((p_lo, p_hi))
             f_lo = phi(p_lo)
             if f_lo > 0.0:
-                p_hi = p_hi_new
                 break
         else:
             raise BracketError("intersection bracket exhausted downward", bracket=trace)
-    f_hi = phi(p_hi)
-    tries = 0
-    while f_hi > 0.0:
-        tries += 1
-        if tries > 200:
-            raise BracketError("intersection bracket exhausted upward", bracket=trace)
-        p_lo, f_lo = p_hi, f_hi
-        p_hi *= 2.0
-        trace.append((p_lo, p_hi))
+    else:
         f_hi = phi(p_hi)
+        tries = 0
+        while f_hi > 0.0:
+            tries += 1
+            if tries > 200:
+                raise BracketError("intersection bracket exhausted upward", bracket=trace)
+            p_lo, f_lo = p_hi, f_hi
+            p_hi *= 2.0
+            trace.append((p_lo, p_hi))
+            f_hi = phi(p_hi)
 
-    p_m = brentq(phi, p_lo, p_hi, xtol=1e-300, rtol=8.9e-16)
+    p_m = brentq(phi, p_lo, p_hi, f_lo, f_hi, xtol=1e-300, rtol=8.9e-16)
     v1 = curve_velocity(gas, "1-from-left", p_m, left, units)
     v3 = curve_velocity(gas, "3-from-right", p_m, right, units)
     if abs(v1 - v3) > INTERSECTION_TOL * max(1.0, abs(v1)):
@@ -245,33 +244,35 @@ def _fan_state(gas, outer, family, xi, units):
 
     lambda_family is monotone in the coldness along the curve (genuine
     nonlinearity), so one bracketed root in ln gamma on lambda(gamma) = xi
-    finds it; the pressure then follows from the isentrope.  In
+    finds it; the pressure then follows from the isentrope.  The outer
+    state's invariant is computed once, outside the root's objective.  In
     vacuum-adjacent fans the coldness is capped at the extended window and
     the vacuum marker is returned past the cap.
     """
-    from scipy.optimize import brentq
-
     lam_outer = waves._acoustic_lambda(gas, outer, family, units)
     if (xi <= lam_outer) if family == 1 else (xi >= lam_outer):
         return outer
     # lambda_1 rises and lambda_3 falls as the coldness grows along the fan
     sign = 1.0 if family == 1 else -1.0
+    j_outer = eos.invariant(gas, outer.gamma)
 
     def h(lg):
         gamma = math.exp(lg)
-        v = waves._rarefaction_velocity(gas, outer, family, gamma, units)
+        v = waves._rarefaction_velocity(gas, outer, family, gamma, units, j_outer)
         cs = eos.rest_frame_speed(gas, gamma, window=_SOLVER_WINDOW, units=units)
         return sign * (waves._compose(v, -sign * cs, units.c) - xi)
 
     lo, hi = math.log(outer.gamma), math.log(_SOLVER_WINDOW[1])
-    if h(lo) >= 0.0:  # xi within rounding of the head characteristic
+    h_lo = h(lo)
+    if h_lo >= 0.0:  # xi within rounding of the head characteristic
         return outer
-    if h(hi) <= 0.0:
+    h_hi = h(hi)
+    if h_hi <= 0.0:
         # beyond the representable tail of a vacuum-adjacent fan
         return FluidState.vacuum(v=xi)
-    gamma = math.exp(brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    gamma = math.exp(brentq(h, lo, hi, h_lo, h_hi, xtol=1e-14, rtol=8.9e-16))
     p = eos.pressure_isentrope(gas, gamma, outer.shat, window=_SOLVER_WINDOW, units=units)
-    return waves._rarefaction_at(gas, outer, family, gamma, p, units)
+    return waves._rarefaction_at(gas, outer, family, gamma, p, units, j_outer)
 
 
 def classify_region(solution, xi):

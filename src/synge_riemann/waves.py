@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import eos
+from ._roots import brentq
 from .eos import DEFAULT_UNITS, DEFAULT_WINDOW, FluidState, GasKind
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -93,25 +94,26 @@ def rarefaction_state(gas, left, family, p, units=DEFAULT_UNITS, window=DEFAULT_
     if p == left.p:
         return left
     gamma = eos.gamma_from(gas, p, left.shat, window=window, units=units)
-    return _rarefaction_at(gas, left, family, gamma, p, units)
+    return _rarefaction_at(gas, left, family, gamma, p, units, eos.invariant(gas, left.gamma))
 
 
-def _rarefaction_velocity(gas, left, family, gamma, units):
-    """Velocity at coldness gamma on the rarefaction curve from `left`:
+def _rarefaction_velocity(gas, left, family, gamma, units, j_left):
+    """Velocity at coldness gamma on the rarefaction curve from `left`,
+    whose invariant is j_left = J(gamma_a):
     artanh(v/c) = artanh(v_a/c) -/+ (J(gamma) - J(gamma_a)), the invariant
     rbar (family 1) or sbar (family 3) of the anchor carried over."""
-    dJ = eos.invariant(gas, gamma) - eos.invariant(gas, left.gamma)
+    dJ = eos.invariant(gas, gamma) - j_left
     w = math.atanh(left.v / units.c)
     w = w - dJ if family == 1 else w + dJ
     return units.c * math.tanh(w)
 
 
-def _rarefaction_at(gas, left, family, gamma, p, units):
-    """State on the rarefaction curve from `left` at coldness gamma, where
-    the isentrope of `left` passes through pressure p."""
+def _rarefaction_at(gas, left, family, gamma, p, units, j_left):
+    """State on the rarefaction curve from `left` (invariant j_left) at
+    coldness gamma, where the isentrope of `left` passes through pressure p."""
     return FluidState(
         p=p,
-        v=_rarefaction_velocity(gas, left, family, gamma, units),
+        v=_rarefaction_velocity(gas, left, family, gamma, units, j_left),
         shat=left.shat,
         gamma=gamma,
         rho=gamma * p / units.c2,
@@ -149,8 +151,6 @@ def _taub_gamma(gas, left, p):
     """Downstream coldness on the compressive branch (p >= p_L): the root of
     the Taub adiabat adjacent to gamma_L, bracketed below it (temperature
     rises across the shock, so the coldness falls)."""
-    from scipy.optimize import brentq
-
     def F(lg):
         return taub_adiabat_residual(gas, left, math.exp(lg), p)
 
@@ -171,7 +171,7 @@ def _taub_gamma(gas, left, p):
         lo = max(lo - step, lo_lim)
         f_lo = F(lo)
         step *= 2.0
-    root = brentq(F, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    root = brentq(F, lo, hi, f_lo, f_hi, xtol=1e-15, rtol=8.9e-16)
     return math.exp(root)
 
 

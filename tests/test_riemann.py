@@ -188,6 +188,25 @@ class TestSample:
             lam1 = waves.eigenvalues(gas, st_)[0]
             assert abs(lam1 - xi) < 1e-8
 
+    def test_fan_sample_invariant_calls(self, gas, monkeypatch):
+        # one root in the coldness: the anchor's J once, one J per
+        # evaluation of the objective and one for the returned state
+        sol = riemann.solve(sod_input(gas))
+        fan = sol.waves[0]
+        riemann.sample(sol, 0.5 * (fan.speed_lo + fan.speed_hi))
+        invariant = eos.invariant
+        calls = []
+
+        def counted(gas_, gamma):
+            calls.append(gamma)
+            return invariant(gas_, gamma)
+
+        monkeypatch.setattr(eos, "invariant", counted)
+        for t in (0.1, 0.3, 0.7, 0.9):
+            del calls[:]
+            riemann.sample(sol, fan.speed_lo + t * (fan.speed_hi - fan.speed_lo))
+            assert 4 <= len(calls) <= 14
+
     def test_star_regions(self, gas):
         sol = riemann.solve(sod_input(gas))
         eps = 1e-6

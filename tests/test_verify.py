@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from synge_riemann import verify
+from synge_riemann import bessel, eos, verify
 from synge_riemann.eos import GasKind
 from synge_riemann.errors import DomainError, WindowError
 
@@ -83,6 +83,20 @@ class TestRunChecks:
         grid = verify.build_grid(1.0, 2.0, points=10)
         near_g0 = [g for g in grid if abs(g / verify.GAMMA_0 - 1.0) <= 0.0101]
         assert len(near_g0) >= 100
+
+
+    def test_second_check_on_default_grid_hits_the_kernel_cache(self):
+        # the Bessel cache holds the whole default grid
+        spec = next(c for c in verify.catalog() if c.id == "holder-k-product")
+        bessel._k01_cached.cache_clear()
+        eos._cold.cache_clear()
+        verify.run_checks(checks=[spec])
+        first = bessel._k01_cached.cache_info()
+        verify.run_checks(checks=[spec])
+        second = bessel._k01_cached.cache_info()
+        assert first.misses > 10000
+        assert second.hits - first.hits > 0
+        assert second.misses == first.misses
 
 
 class TestMarginContinuity:
