@@ -11,14 +11,19 @@ caller in the package already holds; SciPy evaluates them again.
 
 from .errors import BracketError, ConvergenceError
 
+#: Relative tolerance of every root, SciPy's floor of 4 eps.
+RTOL = 8.9e-16
+#: Iterations before ConvergenceError, SciPy's default.
+MAXITER = 100
 
-def brentq(f, a, b, fa, fb, xtol, rtol, maxiter=100):
+
+def brentq(f, a, b, fa, fb, xtol):
     """Root of f in the bracket [a, b], given fa = f(a) and fb = f(b) of
     opposite signs.
 
-    Returns the current iterate once it lies within (xtol + rtol |x|) / 2 of
+    Returns the current iterate once it lies within (xtol + RTOL |x|) / 2 of
     the other end of the bracket, or once f vanishes there.  A same-sign
-    bracket raises BracketError, a NaN value or `maxiter` iterations without
+    bracket raises BracketError, a NaN value or MAXITER iterations without
     convergence ConvergenceError.
     """
     if fa != fa or fb != fb:
@@ -31,7 +36,7 @@ def brentq(f, a, b, fa, fb, xtol, rtol, maxiter=100):
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"f(a)={fa!r} and f(b)={fb!r} have the same sign", bracket=(a, b))
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -39,7 +44,7 @@ def brentq(f, a, b, fa, fb, xtol, rtol, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -70,5 +75,5 @@ def brentq(f, a, b, fa, fb, xtol, rtol, maxiter=100):
         if fcur != fcur:
             raise ConvergenceError(f"objective is NaN at x={xcur!r}")
     raise ConvergenceError(
-        f"brentq did not converge in {maxiter} iterations; last x={xcur!r}"
+        f"brentq did not converge in {MAXITER} iterations; last x={xcur!r}"
     )

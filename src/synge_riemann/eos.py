@@ -257,7 +257,7 @@ def gamma_from(gas, p, shat, window=DEFAULT_WINDOW, units=DEFAULT_UNITS):
                 )
             b, fb = a, fa
             step *= 2.0
-    lg_root = brentq(f, a, b, fa, fb, xtol=1e-15, rtol=8.9e-16)
+    lg_root = brentq(f, a, b, fa, fb, xtol=1e-15)
     gamma = math.exp(lg_root)
     resid = abs(math.exp(_ln_phi(gas, gamma) - target) - 1.0)
     if resid > 1e-12:

@@ -211,7 +211,7 @@ def solve(riemann_input, units=DEFAULT_UNITS):
             trace.append((p_lo, p_hi))
             f_hi = phi(p_hi)
 
-    p_m = brentq(phi, p_lo, p_hi, f_lo, f_hi, xtol=1e-300, rtol=8.9e-16)
+    p_m = brentq(phi, p_lo, p_hi, f_lo, f_hi, xtol=1e-300)
     v1 = curve_velocity(gas, "1-from-left", p_m, left, units)
     v3 = curve_velocity(gas, "3-from-right", p_m, right, units)
     if abs(v1 - v3) > INTERSECTION_TOL * max(1.0, abs(v1)):
@@ -270,7 +270,7 @@ def _fan_state(gas, outer, family, xi, units):
     if h_hi <= 0.0:
         # beyond the representable tail of a vacuum-adjacent fan
         return FluidState.vacuum(v=xi)
-    gamma = math.exp(brentq(h, lo, hi, h_lo, h_hi, xtol=1e-14, rtol=8.9e-16))
+    gamma = math.exp(brentq(h, lo, hi, h_lo, h_hi, xtol=1e-14))
     p = eos.pressure_isentrope(gas, gamma, outer.shat, window=_SOLVER_WINDOW, units=units)
     return waves._rarefaction_at(gas, outer, family, gamma, p, units, j_outer)
 

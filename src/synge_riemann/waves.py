@@ -171,7 +171,7 @@ def _taub_gamma(gas, left, p):
         lo = max(lo - step, lo_lim)
         f_lo = F(lo)
         step *= 2.0
-    root = brentq(F, lo, hi, f_lo, f_hi, xtol=1e-15, rtol=8.9e-16)
+    root = brentq(F, lo, hi, f_lo, f_hi, xtol=1e-15)
     return math.exp(root)
 
 

@@ -8,8 +8,6 @@ import pathlib
 import subprocess
 import sys
 
-from synge_riemann import _series
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 GUARD = """
@@ -45,8 +43,5 @@ def test_series_tables_equal_their_rebuild():
     )
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    tables = gen.build()
-    for name, _, value in tables:
-        # repr round-trips floats, so equal reprs mean equal bits
-        assert repr(getattr(_series, name)) == repr(value), name
-    assert pathlib.Path(_series.__file__).read_text() == gen.render(tables)
+    # the module's text equals a rebuild's, and repr round-trips floats
+    assert gen.main(["--check"]) == 0
