@@ -13,6 +13,8 @@ series forms beyond gamma = 30 so reported margins stay meaningful down to
 ~1e-20.
 """
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -371,10 +373,15 @@ def catalog():
     ]
 
 
+@functools.lru_cache(maxsize=4)
 def build_grid(gamma_min=1e-6, gamma_max=1e4, points=10000, spacing="log",
                refine_boundaries=True):
-    """Evaluation grid; proof-split boundaries get 100 extra points in a
-    +-1% neighborhood each."""
+    """Sorted evaluation grid as an immutable tuple; proof-split boundaries
+    get 100 extra points in a +-1% neighborhood each.
+
+    The grid depends on its arguments alone, so the most recent few grids are
+    cached and repeated `run_checks` calls share one tuple.
+    """
     if not 0.0 < gamma_min < gamma_max:
         raise DomainError(f"invalid grid range [{gamma_min!r}, {gamma_max!r}]")
     if points < 2:
@@ -391,7 +398,14 @@ def build_grid(gamma_min=1e-6, gamma_max=1e4, points=10000, spacing="log",
             if gamma_min <= b <= gamma_max:
                 for i in range(100):
                     base.append(b * (0.99 + 0.02 * i / 99.0))
-    return sorted(set(g for g in base if gamma_min <= g <= gamma_max))
+    return tuple(sorted(set(g for g in base if gamma_min <= g <= gamma_max)))
+
+
+def _domain_slice(grid, domain):
+    """The points of the sorted `grid` in the proof domain (lo, hi]; the
+    refinement points straddle each boundary so both sides get probed."""
+    lo, hi = domain
+    return grid[bisect.bisect_right(grid, lo):bisect.bisect_right(grid, hi)]
 
 
 def run_checks(gas_filter=None, gamma_min=1e-6, gamma_max=1e4, points=10000,
@@ -401,36 +415,46 @@ def run_checks(gas_filter=None, gamma_min=1e-6, gamma_max=1e4, points=10000,
     gas_filter: None for everything, or a GasKind to restrict gas-specific
     checks (gas-independent ones always run).  `checks` overrides the
     catalog (used by the self-test harness).
+
+    [gamma_min, gamma_max] must lie in both `window` and eos.DEFAULT_WINDOW,
+    else WindowError ("verification grid") names the window it leaves: the
+    catalog's eos-backed margins are accurate only in DEFAULT_WINDOW, and
+    beyond it roundoff alone makes predicates fail, so a wider `window`
+    does not widen the grid.  A narrower one restricts it.
+
+    Each check scans the slice of the sorted grid in its proof domain
+    (lo, hi], found by bisection.  The worst margin is the first minimum
+    along the slice; a NaN margin fails the check at the first gamma where it
+    occurs.  A check whose domain holds no grid point passes vacuously.
     """
-    if not (window[0] <= gamma_min and gamma_max <= window[1]):
-        raise WindowError(gamma_min if gamma_min < window[0] else gamma_max, window,
-                          "verification grid")
+    for w in (window, eos.DEFAULT_WINDOW):
+        if not (w[0] <= gamma_min and gamma_max <= w[1]):
+            raise WindowError(gamma_min if gamma_min < w[0] else gamma_max, w,
+                              "verification grid")
     grid = build_grid(gamma_min, gamma_max, points, spacing)
     active = list(catalog() if checks is None else checks)
     if gas_filter is not None:
         active = [c for c in active if c.gas is None or c.gas is gas_filter]
     results = []
     for spec in active:
-        lo, hi = spec.domain
+        domain = _domain_slice(grid, spec.domain)
+        margin = spec.margin
         worst = math.inf
         worst_g = math.nan
-        n = 0
-        for g in grid:
-            # proof domains are (lo, hi]; the refinement points straddle
-            # each boundary so both sides get probed
-            if not lo < g <= hi:
-                continue
-            m = spec.margin(g)
-            n += 1
-            if m < worst:
+        for g in domain:
+            m = margin(g)
+            if not m >= worst:  # a new first minimum, or NaN
                 worst = m
                 worst_g = g
+                if m != m:
+                    break
+        n = len(domain)
         results.append(
             CheckResult(
                 id=spec.id,
                 gas=spec.gas.value if spec.gas is not None else None,
-                # fail iff the predicate is violated at >= 1 grid point;
-                # a check whose domain misses the grid passes vacuously
+                # fail iff the predicate is violated or undefined at >= 1
+                # grid point; an empty domain passes vacuously
                 passed=bool(n == 0 or worst > 0.0),
                 worst_gamma=worst_g,
                 worst_margin=worst if n > 0 else math.nan,

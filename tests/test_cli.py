@@ -165,6 +165,14 @@ class TestVerifyCommand:
 
 
 class TestEnvWindow:
+    def test_widened_window_verify_names_the_verification_grid(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.ENV_WINDOW, "1e-8,1e4")
+        code = run_cli(["verify", "--gamma-min", "1e-8", "--points", "20"])
+        assert code == cli.EXIT_WINDOW
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "window"
+        assert "(verification grid)" in err["message"]
+
     def test_expanded_window_allows_state(self, tmp_path, monkeypatch):
         doc = dict(SOD, left={"rho": 1.0, "v": 0.0, "p": 1e9},
                    right={"rho": 1.0, "v": 0.0, "p": 1e9})  # gamma 1e-9

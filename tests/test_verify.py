@@ -71,6 +71,43 @@ class TestRunChecks:
         with pytest.raises(WindowError):
             verify.run_checks(gamma_min=1e-8, points=10)
 
+    def test_widened_window_still_guards_the_verification_grid(self):
+        # the eos-backed margins lose to roundoff outside DEFAULT_WINDOW, so a
+        # wider window leaves the grid inside DEFAULT_WINDOW
+        with pytest.raises(WindowError, match="verification grid") as info:
+            verify.run_checks(gamma_min=1e-8, points=10, window=(1e-8, 1e4))
+        assert info.value.window == eos.DEFAULT_WINDOW
+        with pytest.raises(WindowError, match="verification grid") as info:
+            verify.run_checks(gamma_max=1e5, points=10, window=(1e-6, 1e6))
+        assert info.value.gamma == 1e5
+        with pytest.raises(WindowError, match="verification grid") as info:
+            verify.run_checks(gamma_min=2e5, gamma_max=3e5, points=10, window=(1e5, 1e6))
+        assert info.value.window == eos.DEFAULT_WINDOW
+
+    def test_narrower_window_restricts_the_grid(self):
+        with pytest.raises(WindowError, match="verification grid") as info:
+            verify.run_checks(points=10, window=(1e-3, 1e4))
+        assert info.value.window == (1e-3, 1e4)
+        rep = verify.run_checks(gamma_min=1e-3, points=50, window=(1e-3, 1e4))
+        assert rep.all_passed
+
+    @pytest.mark.parametrize("nan_above", [0.0, 1.0])
+    def test_nan_margin_fails_at_its_first_gamma(self, nan_above):
+        # nan_above=0: NaN on all of the domain; 1: NaN on part of it, after
+        # a positive stretch
+        spec = verify.CheckSpec(
+            id="self-test-nan",
+            gas=None,
+            domain=(0.0, math.inf),
+            margin=lambda g: math.nan if g > nan_above else 1.0,
+            description="harness self-test",
+        )
+        (res,) = small_report(checks=[spec]).results
+        first_nan = min(g for g in verify.build_grid(points=400) if g > nan_above)
+        assert not res.passed
+        assert math.isnan(res.worst_margin)
+        assert res.worst_gamma == first_nan
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             verify.build_grid(1.0, 0.5)
@@ -78,6 +115,32 @@ class TestRunChecks:
             verify.build_grid(1.0, 2.0, points=1)
         with pytest.raises(DomainError):
             verify.build_grid(1.0, 2.0, spacing="cubic")
+
+    def test_grid_is_a_cached_tuple_matching_the_list_construction(self):
+        def listed(gamma_min, gamma_max, points, spacing):
+            if spacing == "log":
+                lo, hi = math.log(gamma_min), math.log(gamma_max)
+                base = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+            else:
+                base = [gamma_min + (gamma_max - gamma_min) * i / (points - 1)
+                        for i in range(points)]
+            for b in verify.PROOF_BOUNDARIES:
+                if gamma_min <= b <= gamma_max:
+                    base.extend(b * (0.99 + 0.02 * i / 99.0) for i in range(100))
+            return sorted(set(g for g in base if gamma_min <= g <= gamma_max))
+
+        for args in ((1e-6, 1e4, 10000, "log"), (0.5, 2.0, 101, "linear")):
+            grid = verify.build_grid(*args)
+            assert isinstance(grid, tuple)
+            assert list(grid) == listed(*args)
+            assert verify.build_grid(*args) is grid
+
+    def test_domain_is_half_open_on_a_node(self):
+        grid = verify.build_grid(1.0, 3.0, points=3, spacing="linear",
+                                 refine_boundaries=False)
+        assert grid == (1.0, 2.0, 3.0)
+        assert verify._domain_slice(grid, (2.0, math.inf)) == (3.0,)
+        assert verify._domain_slice(grid, (0.0, 2.0)) == (1.0, 2.0)
 
     def test_boundary_refinement(self):
         grid = verify.build_grid(1.0, 2.0, points=10)
@@ -97,6 +160,23 @@ class TestRunChecks:
         assert first.misses > 10000
         assert second.hits - first.hits > 0
         assert second.misses == first.misses
+
+
+class TestDefaultGrid:
+    @pytest.fixture(scope="class")
+    def full(self):
+        return verify.run_checks()
+
+    def test_one_check_equals_its_entry_in_the_full_run(self, full):
+        for spec, entry in zip(verify.catalog(), full.results, strict=True):
+            (alone,) = verify.run_checks(checks=[spec]).results
+            assert alone.to_dict() == entry.to_dict()
+
+    def test_points_count_the_grid_in_each_domain(self, full):
+        grid = verify.build_grid()
+        for spec, entry in zip(verify.catalog(), full.results, strict=True):
+            lo, hi = spec.domain
+            assert entry.points == sum(1 for g in grid if lo < g <= hi), spec.id
 
 
 class TestMarginContinuity:
