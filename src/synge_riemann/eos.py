@@ -49,10 +49,6 @@ class GasKind(Enum):
     MONATOMIC = "monatomic"
     DIATOMIC = "diatomic"
 
-    @property
-    def internal_weight_exponent(self):
-        return -1.0 if self is GasKind.MONATOMIC else 0.0
-
 
 @dataclass(frozen=True)
 class Units:

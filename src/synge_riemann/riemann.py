@@ -337,14 +337,6 @@ def sample(solution, xi, units=DEFAULT_UNITS):
     return _region_state(solution, classify_region(solution, xi), xi, units)
 
 
-def solve_primitive(gas, left_rho, left_v, left_p, right_rho, right_v, right_p,
-                    units=DEFAULT_UNITS, window=eos.DEFAULT_WINDOW):
-    """Convenience wrapper taking primitive tuples."""
-    left = eos.state_from_primitive(gas, left_rho, left_v, left_p, window, units)
-    right = eos.state_from_primitive(gas, right_rho, right_v, right_p, window, units)
-    return solve(RiemannInput(gas=gas, left=left, right=right), units)
-
-
 SAMPLE_CSV_HEADER = "xi,rho,v,p,gamma,shat,region"
 
 

@@ -271,30 +271,6 @@ def entropy_production(gas, left, right, s, units=DEFAULT_UNITS):
     return -(s_rest / c) * (right.shat - left.shat)
 
 
-def entropy_production_closed(gas, left, right, s, units=DEFAULT_UNITS):
-    """Monatomic closed form of `entropy_production` written directly in
-    Bessel ratios and densities; cross-check route."""
-    if gas is not GasKind.MONATOMIC:
-        raise DomainError("closed-form entropy production is monatomic-only")
-    c = units.c
-    s_rest = (s - left.v) / (1.0 - s * left.v / (c * c))
-    gL, gR = left.gamma, right.gamma
-    rL = eos.energy_ratio(gas, gL, window=eos.EXTENDED_WINDOW)
-    rR = eos.energy_ratio(gas, gR, window=eos.EXTENDED_WINDOW)
-    ln_k2_ratio = eos._ln_k_scaled(2, gR) - eos._ln_k_scaled(2, gL) - (gR - gL)
-    jump = rR - rL + ln_k2_ratio + math.log(gL / gR) + math.log(left.rho / right.rho)
-    return -(s_rest / c) * jump
-
-
-def lax_check(gas, left, shock, units=DEFAULT_UNITS, tol=1e-8):
-    """True iff lambda_fam(downstream) < s < lambda_fam(upstream) holds with
-    strict margin; zero-strength shocks sit on the boundary and fail the
-    strict test by construction."""
-    lam_up = _acoustic_lambda(gas, left, shock.family, units)
-    lam_down = _acoustic_lambda(gas, shock.state, shock.family, units)
-    return lam_down < shock.s - tol * units.c and shock.s + tol * units.c < lam_up
-
-
 def lax_margins(gas, left, shock, units=DEFAULT_UNITS):
     """(s - lambda(downstream), lambda(upstream) - s); both positive on
     admissible shocks."""

@@ -9,6 +9,8 @@
   `eos.invariant_integrand` with the library: the first integrates it
   adaptively in the coldness, the second integrates the rarefaction ODE for
   v with an embedded Runge-Kutta pair instead of carrying the invariant over.
+- `entropy_production_closed` checks `waves.entropy_production` on
+  monatomic shocks through the closed-form entropy jump.
 - `scipy_brentq` is scipy's Brent root finder, which `_roots.brentq` ports.
 """
 
@@ -19,7 +21,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from synge_riemann import eos
-from synge_riemann.eos import DEFAULT_UNITS, FluidState
+from synge_riemann.eos import DEFAULT_UNITS, FluidState, GasKind
 from synge_riemann.errors import AccuracyWindowWarning, ConvergenceError, DomainError
 
 ORACLE_WINDOW = (1e-3, 500.0)
@@ -82,6 +84,21 @@ def rarefaction_ode(gas, left, family, p, units=DEFAULT_UNITS, window=eos.EXTEND
         rho=g_to * p / units.c2,
         e=p * eos.energy_ratio(gas, g_to, window=eos.EXTENDED_WINDOW),
     )
+
+
+def entropy_production_closed(gas, left, right, s, units=DEFAULT_UNITS):
+    """Monatomic closed form of `waves.entropy_production` written directly
+    in Bessel ratios and densities."""
+    if gas is not GasKind.MONATOMIC:
+        raise DomainError("closed-form entropy production is monatomic-only")
+    c = units.c
+    s_rest = (s - left.v) / (1.0 - s * left.v / (c * c))
+    gL, gR = left.gamma, right.gamma
+    rL = eos.energy_ratio(gas, gL, window=eos.EXTENDED_WINDOW)
+    rR = eos.energy_ratio(gas, gR, window=eos.EXTENDED_WINDOW)
+    ln_k2_ratio = eos._ln_k_scaled(2, gR) - eos._ln_k_scaled(2, gL) - (gR - gL)
+    jump = rR - rL + ln_k2_ratio + math.log(gL / gR) + math.log(left.rho / right.rho)
+    return -(s_rest / c) * jump
 
 
 def asymptotic_coefficient(order, m):

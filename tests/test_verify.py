@@ -1,7 +1,9 @@
 """Verification catalog: constants, pass behavior, harness self-test."""
 
+import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -11,6 +13,8 @@ from synge_riemann.errors import DomainError, WindowError
 
 MONO = GasKind.MONATOMIC
 DIA = GasKind.DIATOMIC
+
+PINNED_DEFAULT = os.path.join(os.path.dirname(__file__), "data", "verify_default.json")
 
 
 def small_report(**kw):
@@ -48,7 +52,7 @@ class TestRunChecks:
             id="self-test-negated",
             gas=None,
             domain=(0.0, math.inf),
-            margin=lambda g: -(1.0 - verify._u(g)),  # always negative
+            margin=lambda p: -(1.0 - p.u),  # always negative
             description="harness self-test",
         )
         rep = small_report(checks=[bad])
@@ -61,7 +65,7 @@ class TestRunChecks:
     def test_gn_quartic_dia_waypoints(self):
         # positivity margins at the case-split waypoints of the proof
         for g in (0.5, verify.GAMMA_1, math.sqrt(2.0), 4.0):
-            assert verify._gn_quartic_dia(g) > 0.0
+            assert verify._gn_quartic_dia(g, verify.grid_point(g).u) > 0.0
 
     def test_linear_spacing(self):
         rep = verify.run_checks(gamma_min=0.5, gamma_max=2.0, points=101, spacing="linear")
@@ -99,7 +103,7 @@ class TestRunChecks:
             id="self-test-nan",
             gas=None,
             domain=(0.0, math.inf),
-            margin=lambda g: math.nan if g > nan_above else 1.0,
+            margin=lambda p: math.nan if p.gamma > nan_above else 1.0,
             description="harness self-test",
         )
         (res,) = small_report(checks=[spec]).results
@@ -139,27 +143,63 @@ class TestRunChecks:
         grid = verify.build_grid(1.0, 3.0, points=3, spacing="linear",
                                  refine_boundaries=False)
         assert grid == (1.0, 2.0, 3.0)
-        assert verify._domain_slice(grid, (2.0, math.inf)) == (3.0,)
-        assert verify._domain_slice(grid, (0.0, 2.0)) == (1.0, 2.0)
+        assert grid[verify._domain_slice(grid, (2.0, math.inf))] == (3.0,)
+        assert grid[verify._domain_slice(grid, (0.0, 2.0))] == (1.0, 2.0)
 
     def test_boundary_refinement(self):
         grid = verify.build_grid(1.0, 2.0, points=10)
         near_g0 = [g for g in grid if abs(g / verify.GAMMA_0 - 1.0) <= 0.0101]
         assert len(near_g0) >= 100
 
-
-    def test_second_check_on_default_grid_hits_the_kernel_cache(self):
-        # the Bessel cache holds the whole default grid
+    def test_second_check_on_default_grid_evaluates_no_kernel(self, monkeypatch):
+        # the grid points are cached with the grid, so a second check reads
+        # its ratios from them and never reaches the Bessel kernel
+        calls = []
+        k01 = bessel.k01
+        monkeypatch.setattr(bessel, "k01", lambda g: calls.append(g) or k01(g))
         spec = next(c for c in verify.catalog() if c.id == "holder-k-product")
         bessel._k01_cached.cache_clear()
-        eos._cold.cache_clear()
+        verify._grid_points.cache_clear()
         verify.run_checks(checks=[spec])
-        first = bessel._k01_cached.cache_info()
+        assert len(calls) == len(verify.build_grid())
+        del calls[:]
         verify.run_checks(checks=[spec])
-        second = bessel._k01_cached.cache_info()
-        assert first.misses > 10000
-        assert second.hits - first.hits > 0
-        assert second.misses == first.misses
+        assert calls == []
+
+    def test_counting_wrappers_see_every_point_once(self):
+        # the benchmark's traced run wraps each margin in a one-argument
+        # forwarder (dataclasses.replace on the spec); the report must not
+        # change, and each margin is called once per point of its domain
+        counts = {}
+
+        def counting(spec):
+            def m(point):
+                counts[spec.id] += 1
+                return spec.margin(point)
+
+            counts[spec.id] = 0
+            return dataclasses.replace(spec, margin=m)
+
+        wrapped = [counting(spec) for spec in verify.catalog()]
+        plain = small_report()
+        traced = small_report(checks=wrapped)
+        assert traced.to_dict() == plain.to_dict()
+        for r in traced.results:
+            assert counts[r.id] == r.points, r.id
+
+    def test_grid_point_ratios_equal_the_bessel_ratios(self):
+        for g in (1e-6, 0.3, verify.GAMMA_0, 2.0, 2.5, 30.0, 1e4):
+            p = verify.grid_point(g)
+            assert p.gamma == g
+            assert p.u == bessel.k0_over_k1(g)
+            assert p.z == bessel.k1_over_k2(g)
+            assert (p.k0s, p.k1s) == bessel._k_all_scaled(g)[:2]
+
+    def test_margins_share_the_bessel_window(self):
+        # the margins read ratios from grid points and no longer call
+        # bessel._check_gamma; run_checks keeps every grid inside
+        # eos.DEFAULT_WINDOW, which must then be the kernel's window
+        assert bessel.WINDOW == eos.DEFAULT_WINDOW
 
 
 class TestDefaultGrid:
@@ -171,6 +211,27 @@ class TestDefaultGrid:
         for spec, entry in zip(verify.catalog(), full.results, strict=True):
             (alone,) = verify.run_checks(checks=[spec]).results
             assert alone.to_dict() == entry.to_dict()
+
+    def test_report_equals_the_pinned_file(self, full):
+        """The default run, byte for byte as pinned in
+        tests/data/verify_default.json.  After a deliberate change to the
+        catalog's answers, regenerate the file with
+
+            synge-riemann verify --out tests/data/verify_default.json
+        """
+        with open(PINNED_DEFAULT, encoding="utf-8", newline="") as fh:
+            pinned = fh.read()
+        assert full.to_json() + "\n" == pinned
+
+    def test_holder_forms_agree_at_every_point(self):
+        # K2 = 2 K1/gamma + K0 makes the scaled-K form and the K0/K1 form
+        # one inequality; a swapped record field breaks the agreement
+        margins = {c.id: c.margin for c in verify.catalog()}
+        k_form = margins["holder-k-product"]
+        u_form = margins["holder-ratio-quadratic"]
+        for p in verify._grid_points(1e-6, 1e4, 10000, "log"):
+            a, b = k_form(p), u_form(p)
+            assert abs(a - b) <= 2e-15 * abs(b), p
 
     def test_points_count_the_grid_in_each_domain(self, full):
         grid = verify.build_grid()
@@ -187,7 +248,7 @@ class TestMarginContinuity:
         for spec in verify.catalog():
             lo, hi = spec.domain
             pts = [g for g in grid if lo < g <= hi]
-            vals = [spec.margin(g) for g in pts]
+            vals = [spec.margin(verify.grid_point(g)) for g in pts]
             if len(vals) < 8:
                 continue
             deltas = [abs(b - a) for a, b in zip(vals, vals[1:])]

@@ -276,7 +276,7 @@ class TestEntropyProduction:
         for p in log_grid(1.1, 40.0, 20):
             sp = waves.shock_state(MONO, left, 1, p)
             a = waves.entropy_production(MONO, left, sp.state, sp.s)
-            b = waves.entropy_production_closed(MONO, left, sp.state, sp.s)
+            b = oracles.entropy_production_closed(MONO, left, sp.state, sp.s)
             assert abs(a - b) < 1e-8
 
     def test_positive_for_3_shocks(self, gas):
@@ -292,22 +292,20 @@ class TestLax:
         left = anchor_state(gas)
         for p in log_grid(1.02, 50.0, 50):
             sp = waves.shock_state(gas, left, 1, p)
-            assert waves.lax_check(gas, left, sp)
-            m1, m2 = waves.lax_margins(gas, left, sp)
-            assert m1 > 0.0 and m2 > 0.0
+            assert min(waves.lax_margins(gas, left, sp)) > 1e-8
 
     def test_expansion_shock_rejected(self, gas):
         left = anchor_state(gas)
         sp = waves.shock_state(gas, left, 1, 3.0)
         swapped = waves.ShockPoint(state=left, s=sp.s, family=1, residuals=sp.residuals)
-        assert not waves.lax_check(gas, sp.state, swapped)
+        assert not min(waves.lax_margins(gas, sp.state, swapped)) > 1e-8
 
     def test_zero_strength_boundary(self, gas):
         left = anchor_state(gas)
         sp = waves.shock_state(gas, left, 1, left.p)
         m1, m2 = waves.lax_margins(gas, left, sp)
         assert abs(m1) < 1e-8 and abs(m2) < 1e-8
-        assert not waves.lax_check(gas, left, sp)
+        assert not min(waves.lax_margins(gas, left, sp)) > 1e-8
 
 
 class TestWaveCurve:
